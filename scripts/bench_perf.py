@@ -27,14 +27,6 @@ Three suites, all selectable via ``--suite`` (default ``all``):
     must stay **under 5%**), and an informational leg with realistic fault
     rates.  Writes ``BENCH_fault_overhead.json``.
 
-``lattice``
-    Times one multi-run SPR workload (``run_methods(["spr"], ...)`` with
-    ``--lattice-runs`` repetitions, default 8) three ways — the
-    historical per-pair ``sequential`` group engine, serial racing, and
-    the fused racing lattice — verifies the lattice produces **identical**
-    deterministic aggregates to serial racing, and writes
-    ``BENCH_lattice.json``.
-
 ``bdp``
     Times the BDP ranker's one-step-lookahead pair scorer — the
     vectorized O(K³) :func:`repro.algorithms.bdp.score_pairs` against
@@ -72,7 +64,6 @@ Usage::
     PYTHONPATH=src python scripts/bench_perf.py --quick     # CI-size
     PYTHONPATH=src python scripts/bench_perf.py --suite group --group-pairs 500
     PYTHONPATH=src python scripts/bench_perf.py --suite faults
-    PYTHONPATH=src python scripts/bench_perf.py --suite lattice
     PYTHONPATH=src python scripts/bench_perf.py --suite apply --repeat 5
     PYTHONPATH=src python scripts/bench_perf.py --suite bdp
     PYTHONPATH=src python scripts/bench_perf.py --suite service
@@ -118,7 +109,6 @@ _ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = _ROOT / "BENCH_parallel_runner.json"
 GROUP_OUTPUT = _ROOT / "BENCH_group_engine.json"
 FAULT_OUTPUT = _ROOT / "BENCH_fault_overhead.json"
-LATTICE_OUTPUT = _ROOT / "BENCH_lattice.json"
 APPLY_OUTPUT = _ROOT / "BENCH_apply.json"
 BDP_OUTPUT = _ROOT / "BENCH_bdp.json"
 SERVICE_OUTPUT = _ROOT / "BENCH_service.json"
@@ -397,107 +387,6 @@ def bench_faults(args) -> int:
     return 0
 
 
-def bench_lattice(args) -> int:
-    """Time one multi-run SPR workload on all three execution engines.
-
-    Sequential vs racing isolates the batched group kernel; racing vs
-    lattice isolates the cross-run fusion.  Both speedups are
-    core-independent — the lattice removes numpy dispatch overhead, it
-    does not use more cores.  The lattice leg must reproduce serial
-    racing bit for bit (aggregates and total microtasks) or the script
-    exits non-zero.
-    """
-    n_runs = args.lattice_runs
-    n_items = 20 if args.quick else 30
-    single_core = os.cpu_count() == 1
-    if single_core:
-        print(
-            "warning: lattice legs on a 1-core host — lane threads share "
-            "one core, so the reading mixes fusion gains with GIL/scheduler "
-            "contention; treat the speedup as a lower bound",
-            file=sys.stderr,
-        )
-    common = dict(
-        dataset=args.dataset, n_items=n_items, k=5, n_runs=n_runs, seed=0
-    )
-    racing_params = ExperimentParams(**common)
-    sequential_params = ExperimentParams(**common, group_engine="sequential")
-
-    builders = {
-        "sequential": lambda: run_methods(["spr"], sequential_params, n_jobs=1),
-        "racing_serial": lambda: run_methods(["spr"], racing_params, n_jobs=1),
-        "lattice": lambda: run_methods(["spr"], racing_params, engine="lattice"),
-    }
-    repeats = 2 if args.quick else args.repeat
-    print(
-        f"lattice legs (spr, {args.dataset}, N={n_items}, n_runs={n_runs}, "
-        f"interleaved best of {repeats}) ...", flush=True,
-    )
-    seconds = {name: float("inf") for name in builders}
-    views: dict[str, dict] = {}
-    microtasks: dict[str, float] = {}
-    builders["racing_serial"]()  # warm-up: loads the dataset cache, untimed
-    for _ in range(repeats):
-        for name, leg in builders.items():
-            with use_registry(MetricsRegistry()) as registry:
-                started = time.perf_counter()
-                stats = leg()
-                elapsed = time.perf_counter() - started
-            seconds[name] = min(seconds[name], elapsed)
-            views[name] = _deterministic_view(stats)
-            microtasks[name] = registry.counter_value("crowd_microtasks_total")
-    for name in builders:
-        print(f"  {name}: {seconds[name]:.3f}s, "
-              f"{microtasks[name]:,.0f} microtasks")
-
-    identical = json.dumps(views["lattice"], sort_keys=True) == json.dumps(
-        views["racing_serial"], sort_keys=True
-    ) and microtasks["lattice"] == microtasks["racing_serial"]
-    speedup_seq = (
-        seconds["sequential"] / seconds["lattice"]
-        if seconds["lattice"] else float("inf")
-    )
-    speedup_racing = (
-        seconds["racing_serial"] / seconds["lattice"]
-        if seconds["lattice"] else float("inf")
-    )
-    payload = {
-        "benchmark": "lattice",
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "cpu_count": os.cpu_count(),
-        "single_core_warning": single_core,
-        "host": _host(),
-        "workload": (
-            f"run_methods(['spr'], dataset={args.dataset!r}, N={n_items}, "
-            f"k=5, n_runs={n_runs}, seed=0)"
-        ),
-        "quick": args.quick,
-        "legs": {
-            name: {
-                "seconds": round(seconds[name], 4),
-                "microtasks": microtasks[name],
-            }
-            for name in builders
-        },
-        "speedup_vs_sequential": round(speedup_seq, 3),
-        "speedup_vs_racing": round(speedup_racing, 3),
-        "aggregates_identical": identical,
-        "aggregates": views["lattice"],
-    }
-    args.lattice_output.write_text(json.dumps(payload, indent=2) + "\n")
-    _append_history(payload, args.history)
-    print(
-        f"lattice speedup: {speedup_seq:.2f}x vs sequential, "
-        f"{speedup_racing:.2f}x vs serial racing "
-        f"(identical aggregates: {identical}) -> {args.lattice_output}"
-    )
-    if not identical:
-        print("error: lattice results diverge from serial racing",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # apply-path profiling
 # ----------------------------------------------------------------------
@@ -505,12 +394,12 @@ def bench_lattice(args) -> int:
 #: cumulative — no double counting) over the library's own frames, keyed
 #: by what a racing round spends its time on.
 APPLY_KERNEL = (
-    "_evaluate_group", "_evaluate_plans", "decision_codes",
-    "sample_variance", "t_quantiles", "_eval_sig",
+    "_evaluate_round", "_stein_codes", "decision_codes",
+    "sample_variance", "t_quantiles",
 )
-APPLY_DRAW = ("_plan_round", "draw_pairs", "sample", "judge_many")
+APPLY_DRAW = ("draw_pairs", "sample", "judge_many")
 APPLY_BOOKKEEPING = (
-    "_apply_round", "_replay_cache", "_commit_round", "_faulty_round",
+    "round", "_close_round", "_replay_cache", "_faulty_round",
     "race_group", "compare_many", "from_race", "from_arrays",
     "charge_cost", "charge_rounds", "charge_many", "charge",
     "begin_comparison", "begin_comparisons", "inc", "add", "observe",
@@ -524,7 +413,7 @@ APPLY_BOOKKEEPING = (
 #: and the deferred cache drain, which absorbs whole pools' worth of
 #: queued rounds in one pass).
 APPLY_PER_ROUND = (
-    "_apply_round", "_commit_round", "_faulty_round", "defer_rows",
+    "round", "_close_round", "_faulty_round", "defer_rows",
     "charge_many", "charge_cost", "charge_rounds", "charge",
     "begin_comparison", "begin_comparisons", "inc", "add",
     "observe", "observe_many", "record_comparison", "emit",
@@ -600,8 +489,7 @@ def _bucket_profile(prof: cProfile.Profile) -> tuple[dict, list]:
 def bench_apply(args) -> int:
     """Profile the apply side of racing rounds on a serial SPR workload.
 
-    Serial on purpose: ``cProfile`` only observes the calling thread, so
-    the lattice's lane threads would hide exactly the code under study.
+    Serial on purpose: ``cProfile`` only observes the calling thread.
     The wall-time figure is measured unprofiled (best of ``--repeat``);
     the bucket split comes from one separate profiled pass.
     """
@@ -945,8 +833,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=("all", "runner", "group", "faults", "lattice", "apply",
-                 "bdp", "service"),
+        choices=("all", "runner", "group", "faults", "apply", "bdp",
+                 "service"),
         default="all", help="which benchmark(s) to run")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker processes for the parallel leg (default 4)")
@@ -965,10 +853,6 @@ def main(argv=None) -> int:
                         "(default 4000; --quick quarters it)")
     parser.add_argument("--fault-output", type=pathlib.Path,
                         default=FAULT_OUTPUT)
-    parser.add_argument("--lattice-runs", type=int, default=8,
-                        help="runs raced in the lattice benchmark (default 8)")
-    parser.add_argument("--lattice-output", type=pathlib.Path,
-                        default=LATTICE_OUTPUT)
     parser.add_argument("--apply-runs", type=int, default=8,
                         help="seeded SPR runs in the apply-path benchmark "
                         "(default 8; --quick halves it)")
@@ -1007,11 +891,6 @@ def main(argv=None) -> int:
     if args.suite in ("all", "faults"):
         status = bench_faults(args)
         if status or args.suite == "faults":
-            return status
-
-    if args.suite in ("all", "lattice"):
-        status = bench_lattice(args)
-        if status or args.suite == "lattice":
             return status
 
     if args.suite in ("all", "bdp"):

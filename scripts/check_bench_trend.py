@@ -11,8 +11,8 @@ The gated metrics are **load-invariant ratios**, not raw wall seconds:
 shared CI runners (and shared bench hosts generally) drift 1.5-2x in
 sustained CPU speed between runs, which no tolerance short of useless
 can absorb.  Ratios of quantities measured inside one run — the
-apply suite's per-round tax in kernel units, the lattice suite's
-speedup over the interleaved sequential leg — cancel the host's speed
+apply suite's per-round tax in kernel units, the bdp suite's scorer
+speedup over the scalar reference — cancel the host's speed
 and expose only genuine code regressions.
 
 Noise handling: the newest reading is compared against the *best* of
@@ -47,11 +47,6 @@ METRICS = {
         "path": ("profile", "per_round_over_kernel"),
         "higher_is_worse": True,
         "label": "per-round tax (kernel units)",
-    },
-    "lattice": {
-        "path": ("speedup_vs_sequential",),
-        "higher_is_worse": False,
-        "label": "speedup vs sequential",
     },
     "bdp": {
         "path": ("scorer_speedup",),

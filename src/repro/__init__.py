@@ -62,12 +62,10 @@ from .crowd import (
     HistogramOracle,
     JudgmentOracle,
     LatentScoreOracle,
-    RacingLattice,
     RacingPool,
     RecordDatabaseOracle,
     UserTableOracle,
     race_group,
-    run_lattice,
 )
 from .datasets import DATASET_NAMES, Dataset, load_dataset
 from .errors import (
@@ -159,7 +157,6 @@ __all__ = [
     "QueryHandle",
     "QueryService",
     "QuerySpec",
-    "RacingLattice",
     "RacingPool",
     "RecordDatabaseOracle",
     "ResiliencePolicy",
@@ -198,7 +195,6 @@ __all__ = [
     "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",
-    "run_lattice",
     "save_cache",
     "save_checkpoint",
     "set_registry",

@@ -34,7 +34,6 @@ Examples::
     crowd-topk -v experiment table7 --runs 3
     crowd-topk experiment fig8 --dataset book --runs 2
     crowd-topk experiment fig9 --runs 10 --jobs 4
-    crowd-topk experiment fig9 --runs 10 --engine lattice
     crowd-topk validate --suite guarantees --jobs 4 --report report.json
     crowd-topk validate --suite golden --update-golden
 
@@ -64,9 +63,9 @@ from .algorithms import ALGORITHMS, resume_bdp_topk
 from .core.spr import resume_spr_topk
 from .crowd.session import CrowdSession
 from .datasets import DATASET_NAMES, load_dataset
+from .errors import ConfigError
 from .experiments import (
     ExperimentParams,
-    use_engine,
     use_jobs,
     run_accuracy,
     run_appendix_d,
@@ -231,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="fan runs out over N worker processes (0 = one per CPU, "
         "default 1 = serial); results are bit-for-bit identical",
-    )
-    experiment.add_argument(
-        "--engine", choices=("pool", "lattice"), default=None,
-        help="execution engine for the independent runs: 'pool' (serial "
-        "at --jobs 1, process pool above) or 'lattice' (fused in-process "
-        "racing of all runs; bit-identical results, no extra processes); "
-        "default: the CROWD_TOPK_ENGINE environment variable, else pool",
     )
 
     validate = commands.add_parser(
@@ -417,7 +409,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     dataset = load_dataset(args.dataset)
-    working = dataset.sample_items(args.n_items)
+    try:
+        working = dataset.sample_items(args.n_items)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     k = args.k
     sink = JsonlSink(args.telemetry) if args.telemetry else None
     if sink is not None:
@@ -554,7 +550,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    working = dataset.sample_items(args.n_items)
+    try:
+        working = dataset.sample_items(args.n_items)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     params = ExperimentParams(
         dataset=args.dataset,
         n_items=args.n_items,
@@ -682,11 +682,10 @@ _EXPERIMENTS = {
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Install the requested parallelism and engine ambiently: every
-    # harness entry point resolves n_jobs=None / engine=None against
-    # them, so --jobs and --engine reach all of them without threading
-    # flags through each signature.
-    with use_jobs(args.jobs), use_engine(args.engine):
+    # Install the requested parallelism ambiently: every harness entry
+    # point resolves n_jobs=None against it, so --jobs reaches all of
+    # them without threading a flag through each signature.
+    with use_jobs(args.jobs):
         for report in _EXPERIMENTS[args.name](args):
             print(report.to_text())
             print()

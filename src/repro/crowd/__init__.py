@@ -2,7 +2,6 @@
 
 from .faults import FaultInjector
 from .group import race_group
-from .lattice import RacingLattice, run_lattice
 from .ledger import CostLedger, LatencyLedger
 from .oracle import (
     BinaryOracle,
@@ -42,9 +41,7 @@ __all__ = [
     "MarketplaceModel",
     "MarketplaceReport",
     "rounds_from_session",
-    "RacingLattice",
     "RacingPool",
-    "run_lattice",
     "RecordDatabaseOracle",
     "UserTableOracle",
     "WorkerNoise",

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import ComparisonConfig
-from ..core.estimators import HoeffdingTester, PACTester, SteinTester, make_tester
+from ..core.estimators import SteinTester, make_tester
 from ..core.estimators.base import sample_variance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,162 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RacingPool"]
 
 
-class _RoundPlan:
-    """One pool's pending round: the draw is taken, evaluation is not.
-
-    Produced by :meth:`RacingPool._plan_round` (which consumes the pool's
-    RNG and bumps its round counter) and consumed by
-    :func:`_evaluate_plans`; the split lets a :class:`RacingLattice` fuse
-    the evaluation of many pools' rounds into one stacked numpy pass
-    while each lane keeps drawing from its own stream.
-    """
-
-    __slots__ = ("pool", "active", "step", "remaining", "draw")
-
-    def __init__(self, pool, active, step, remaining, draw):
-        self.pool = pool
-        self.active = active
-        self.step = step
-        self.remaining = remaining
-        self.draw = draw
-
-
-class _RoundEval:
-    """The stopping-rule outcome of one planned round, ready to apply."""
-
-    __slots__ = ("first", "consumed", "new_n", "new_s1", "new_s2", "codes_at_first")
-
-    def __init__(self, first, consumed, new_n, new_s1, new_s2, codes_at_first):
-        self.first = first
-        self.consumed = consumed
-        self.new_n = new_n
-        self.new_s1 = new_s1
-        self.new_s2 = new_s2
-        self.codes_at_first = codes_at_first
-
-
-def _evaluate_plans(plans: "list[_RoundPlan]") -> "list[_RoundEval]":
-    """Evaluate many pools' planned rounds in fused stacked passes.
-
-    Plans whose testers are interchangeable (same rule and parameters;
-    see ``RacingPool._eval_sig``) are padded to a common width and run
-    through **one** ``decision_codes``/``frozen_codes`` call, which is
-    where the per-round fixed cost lives.  Per-row masks reproduce each
-    plan's own step and budget clamp, so every row's outcome is
-    bit-identical to evaluating its plan alone — the single-plan call in
-    :meth:`RacingPool.round` is literally this function with one entry.
-
-    Pure numpy over state captured in the plans: safe to call from a
-    kernel thread while the submitting lanes are parked.
-    """
-    evals: list[_RoundEval | None] = [None] * len(plans)
-    groups: dict[tuple, list[int]] = {}
-    for pos, plan in enumerate(plans):
-        groups.setdefault(plan.pool._eval_sig, []).append(pos)
-    for sig, members in groups.items():
-        group = [plans[pos] for pos in members]
-        for pos, ev in zip(members, _evaluate_group(sig, group)):
-            evals[pos] = ev
-    return evals
-
-
-def _evaluate_group(sig: tuple, plans: "list[_RoundPlan]") -> "list[_RoundEval]":
-    """Fused evaluation of plans sharing one tester signature."""
-    sizes = [plan.active.size for plan in plans]
-    total = int(sum(sizes))
-    width = max(plan.step for plan in plans)
-    bounds = np.cumsum([0] + sizes)
-    slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    n0 = np.concatenate([plan.pool.n[plan.active] for plan in plans])
-    s10 = np.concatenate([plan.pool.s1[plan.active] for plan in plans])
-    s20 = np.concatenate([plan.pool.s2[plan.active] for plan in plans])
-    # Per-row evaluation horizon: a plan's own step, clamped to the pair's
-    # remaining budget — the fused equivalent of the per-plan
-    # ``over_budget`` mask plus the plan's matrix width.
-    cap = np.concatenate(
-        [np.minimum(plan.step, plan.remaining) for plan in plans]
-    ).astype(np.int64)
-    workload = np.concatenate(
-        [
-            np.full(plan.active.size, plan.pool.config.min_workload, dtype=np.int64)
-            for plan in plans
-        ]
-    )
-    draw_pad = np.zeros((total, width), dtype=np.float64)
-    for plan, rows in zip(plans, slices):
-        draw_pad[rows, : plan.step] = plan.draw
-
-    counts = np.arange(1, width + 1, dtype=np.int64)
-    n_mat = n0[:, None] + counts[None, :]
-    s1_mat = s10[:, None] + np.cumsum(draw_pad, axis=1)
-    s2_mat = s20[:, None] + np.cumsum(np.square(draw_pad), axis=1)
-
-    if sig[0] == "stein":
-        stage = sig[3]
-        # Capture first-stage crossing variances per plan before deciding;
-        # the crossing column depends only on the row, so the fused
-        # matrices hold exactly the per-plan values.
-        for plan, rows in zip(plans, slices):
-            pool = plan.pool
-            active = plan.active
-            n_before = pool.n[active]
-            reach = np.minimum(plan.step, plan.remaining)
-            crossing = np.flatnonzero(
-                np.isnan(pool._stage_var[active])
-                & (n_before < stage)
-                & (n_before + reach >= stage)
-            )
-            if crossing.size:
-                grow = rows.start + crossing
-                cols = (stage - n_before[crossing] - 1).astype(np.intp)
-                at_n = n_mat[grow, cols]
-                at_mean = s1_mat[grow, cols] / at_n
-                var = sample_variance(at_n, at_mean, s2_mat[grow, cols])
-                pool._stage_var[active[crossing]] = var
-        stage_var = np.concatenate(
-            [plan.pool._stage_var[plan.active] for plan in plans]
-        )
-        codes = SteinTester.frozen_codes(
-            n_mat, s1_mat / n_mat, stage_var[:, None], stage - 1, sig[1], sig[2]
-        )
-    else:
-        codes = plans[0].pool._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
-    codes = np.where(n_mat >= workload[:, None], codes, 0)
-    codes = np.where(counts[None, :] > cap[:, None], 0, codes)
-
-    has_decision = codes != 0
-    any_decision = has_decision.any(axis=1)
-    first = np.where(any_decision, has_decision.argmax(axis=1), width)
-    consumed = np.where(any_decision, first + 1, cap).astype(np.int64)
-    rows_all = np.arange(total)
-    last = consumed - 1
-    new_n = n_mat[rows_all, last]
-    new_s1 = s1_mat[rows_all, last]
-    new_s2 = s2_mat[rows_all, last]
-    codes_at_first = codes[rows_all, np.minimum(first, width - 1)]
-
-    return [
-        _RoundEval(
-            first[rows],
-            consumed[rows],
-            new_n[rows],
-            new_s1[rows],
-            new_s2[rows],
-            codes_at_first[rows],
-        )
-        for rows in slices
-    ]
-
 ACTIVE = 0
 DECIDED_LEFT = 1
 DECIDED_RIGHT = -1
 TIE = 2
 DEACTIVATED = 3
-
-#: ``repro.crowd.lattice.current_lattice``, bound on the first round (the
-#: lattice module imports this one, so a top-level import would cycle).
-_current_lattice = None
 
 
 class RacingPool:
@@ -239,19 +88,6 @@ class RacingPool:
         self._tester = make_tester(self.config, session.oracle.value_range)
         self._budget = self.config.effective_budget
         self._telemetry = session.telemetry
-        # Fused-evaluation grouping key: plans from pools with equal keys
-        # may share one stacked decision_codes call (see _evaluate_plans).
-        tester = self._tester
-        if isinstance(tester, SteinTester):
-            self._eval_sig = (
-                "stein", tester.alpha, tester.epsilon, self.config.min_workload
-            )
-        elif isinstance(tester, HoeffdingTester):
-            self._eval_sig = ("codes", type(tester), tester.alpha, tester.value_range)
-        elif isinstance(tester, PACTester):
-            self._eval_sig = ("codes", type(tester), tester.alpha, tester.epsilon)
-        else:
-            self._eval_sig = ("codes", type(tester), tester.alpha)
 
         count = len(pairs)
         lefts, rights = zip(*pairs) if pairs else ((), ())
@@ -517,35 +353,16 @@ class RacingPool:
         retry policy).  Charges the session for the consumed microtasks
         and, if configured, one latency round.
         """
-        if self._injector is not None:
-            return self._faulty_round(step)
-        global _current_lattice
-        if _current_lattice is None:  # deferred: lattice imports pool
-            from .lattice import current_lattice as _current_lattice
-        lattice = _current_lattice()
-        if lattice is not None:
-            return lattice.submit_round(self, step)
-        resolved, plan = self._plan_round(step)
-        if plan is None:
-            return resolved
-        return self._apply_round(plan, _evaluate_plans([plan])[0])
-
-    def _plan_round(self, step: int | None = None):
-        """Draw one fault-free round's samples without evaluating them.
-
-        Returns ``(resolved, None)`` when the round terminates without an
-        evaluation (pool done, or the latency deadline expired every
-        pair), else ``(None, plan)`` with the oracle draw taken and the
-        round counter advanced — all of the pool's RNG consumption.
-        """
         active = self.active_indices
         if active.size == 0:
-            return [], None
+            return []
         if self._deadline is not None and self._rounds_done >= self._deadline:
-            return self._expire_deadline(active), None
+            return self._expire_deadline(active)
         step = self.config.batch_size if step is None else int(step)
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
+        if self._injector is not None:
+            return self._faulty_round(active, step)
         self._rounds_done += 1
 
         remaining = (self._budget - self.n[active]).astype(np.int64)
@@ -555,26 +372,10 @@ class RacingPool:
         draw = self.session.oracle.draw_pairs(
             self.left[active], self.right[active], step, self.session.rng
         )
-        return None, _RoundPlan(self, active, step, remaining, draw)
-
-    def _apply_round(
-        self, plan: _RoundPlan, ev: _RoundEval
-    ) -> list[tuple[int, int]]:
-        """Commit an evaluated round: state, statuses, cache, charges."""
         resolved: list[tuple[int, int]] = []
-        budget_ties = self._commit_round(
-            plan.active,
-            plan.draw,
-            plan.step,
-            ev.first,
-            ev.consumed,
-            ev.codes_at_first,
-            ev.new_n,
-            ev.new_s1,
-            ev.new_s2,
-            resolved,
+        consumed_total, budget_ties = self._evaluate_round(
+            active, draw, np.minimum(step, remaining), resolved
         )
-        consumed_total = int(ev.consumed.sum())
         self.session.charge_many(
             consumed_total, rounds=1 if self.charge_latency else 0
         )
@@ -585,48 +386,59 @@ class RacingPool:
                 self._counter("oracle_judgments_total"),
             )
         handles[0].inc()
-        handles[1].add(int(plan.draw.size))
-        if budget_ties:
-            self._counter("crowd_budget_ties_total").add(budget_ties)
-        self._emit_round(plan.active.size, consumed_total, resolved, budget_ties)
+        handles[1].add(int(draw.size))
+        self._close_round(active.size, consumed_total, resolved, budget_ties)
         return resolved
 
-    def _commit_round(
+    def _evaluate_round(
         self,
-        sub: np.ndarray,
+        rows: np.ndarray,
         values: np.ndarray,
-        width: int,
-        first: np.ndarray,
-        consumed: np.ndarray,
-        codes_at_first: np.ndarray,
-        new_n: np.ndarray,
-        new_s1: np.ndarray,
-        new_s2: np.ndarray,
+        reach: np.ndarray,
         resolved: list[tuple[int, int]],
-    ) -> int:
-        """The shared array-native commit: moments, statuses, cache.
+    ) -> tuple[int, int]:
+        """Evaluate one round's samples and commit the outcome.
 
-        One code path serves both the fault-free and the faulty round
-        (the fault path compacts its delivered answers into the same
-        ``(rows × width)`` shape first), so the two can never drift
-        again.  ``resolved`` is extended in place — decided rows first,
-        budget-exhausted ties after, both in row order, exactly the
-        historical per-row emission order.  Returns the number of
-        budget-exhausted ties for the caller's counter.
+        The one stopping-rule pass behind both the fault-free and the
+        faulty round.  ``values`` holds the samples of pairs ``rows``
+        left-aligned (the faulty round compacts its delivered answers
+        first); ``reach`` is the per-row number this round may consume —
+        ``min(step, remaining)``, further limited by arrivals under fault
+        injection.  Each row consumes up to its first decision, else its
+        whole reach.  Moments, statuses and the cache are updated, and
+        ``resolved`` is extended in place: decided rows first,
+        budget-exhausted ties after, both in row order.  Returns
+        ``(consumed microtasks, budget-exhausted ties)``.
         """
-        self.n[sub] = new_n
-        self.s1[sub] = new_s1
-        self.s2[sub] = new_s2
+        width = values.shape[1]
+        col = np.arange(1, width + 1, dtype=np.int64)
+        n_mat = self.n[rows, None] + col[None, :]
+        s1_mat = self.s1[rows, None] + np.cumsum(values, axis=1)
+        s2_mat = self.s2[rows, None] + np.cumsum(np.square(values), axis=1)
+        if self._stein:
+            codes = self._stein_codes(rows, n_mat, s1_mat, s2_mat, reach)
+        else:
+            codes = self._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
+        codes = np.where(n_mat >= self.config.min_workload, codes, 0)
+        codes = np.where(col[None, :] > reach[:, None], 0, codes)
 
-        decided = first < width
-        decided_idx = sub[decided]
+        has_decision = codes != 0
+        decided = has_decision.any(axis=1)
+        first = np.where(decided, has_decision.argmax(axis=1), width)
+        consumed = np.where(decided, first + 1, reach).astype(np.int64)
+        slots = np.arange(rows.size)
+        last = consumed - 1  # reach >= 1 on every row
+        new_n = n_mat[slots, last]
+        self.n[rows] = new_n
+        self.s1[rows] = s1_mat[slots, last]
+        self.s2[rows] = s2_mat[slots, last]
+
+        decided_idx = rows[decided]
         if decided_idx.size:
-            codes = codes_at_first[decided]
-            self.status[decided_idx] = np.where(
-                codes > 0, DECIDED_LEFT, DECIDED_RIGHT
-            )
-            resolved.extend(zip(decided_idx.tolist(), codes.tolist()))
-        exhausted_idx = sub[~decided & (new_n >= self._budget)]
+            won = codes[slots[decided], first[decided]]
+            self.status[decided_idx] = np.where(won > 0, DECIDED_LEFT, DECIDED_RIGHT)
+            resolved.extend(zip(decided_idx.tolist(), won.tolist()))
+        exhausted_idx = rows[~decided & (new_n >= self._budget)]
         if exhausted_idx.size:
             self.status[exhausted_idx] = TIE
             resolved.extend((idx, 0) for idx in exhausted_idx.tolist())
@@ -635,24 +447,25 @@ class RacingPool:
             # absorb all queued rounds in one width-grouped pass the next
             # time anything reads the cache (JudgmentCache.defer_rows).
             self.session.cache.defer_rows(
-                self.left[sub], self.right[sub], values, consumed
+                self.left[rows], self.right[rows], values, consumed
             )
-        return int(exhausted_idx.size)
+        return int(consumed.sum()), int(exhausted_idx.size)
 
-    def _emit_round(
+    def _close_round(
         self,
         pairs: int,
         consumed_total: int,
         resolved: list[tuple[int, int]],
         budget_ties: int,
     ) -> None:
-        """One coalesced ``pool_round`` event per round (when anyone listens).
+        """Count budget ties and emit one ``pool_round`` event per round.
 
-        Replaces any per-record emission granularity: a flight recorder
-        or JSONL sink sees a single aggregate event per lockstep round.
-        Gated on ``has_listeners`` so the payload dict is never built for
-        nobody.
+        The event is coalesced — a flight recorder or JSONL sink sees a
+        single aggregate event per lockstep round — and gated on
+        ``has_listeners`` so the payload dict is never built for nobody.
         """
+        if budget_ties:
+            self._counter("crowd_budget_ties_total").add(budget_ties)
         telemetry = self._telemetry
         if telemetry.has_listeners:
             telemetry.emit(
@@ -769,7 +582,9 @@ class RacingPool:
                 )
         return resolved
 
-    def _faulty_round(self, step: int | None = None) -> list[tuple[int, int]]:
+    def _faulty_round(
+        self, active: np.ndarray, step: int
+    ) -> list[tuple[int, int]]:
         """One round against a faulty platform: harvest what arrived.
 
         Differences from the fault-free path: a whole-platform outage
@@ -778,14 +593,6 @@ class RacingPool:
         arrivals go through the retry policy; a latency round is billed
         even when nothing arrives (the crowd clock still ticks).
         """
-        active = self.active_indices
-        if active.size == 0:
-            return []
-        if self._deadline is not None and self._rounds_done >= self._deadline:
-            return self._expire_deadline(active)
-        step = self.config.batch_size if step is None else int(step)
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
         round_no = self._rounds_done
         self._rounds_done += 1
         if self.charge_latency:
@@ -822,14 +629,11 @@ class RacingPool:
             # historical one.
             sub = eligible
             self._failures[sub] = 0
-            counts_got = np.full(sub.size, step, dtype=np.int64)
-            width = step
             values = draw
-            col = np.arange(1, width + 1, dtype=np.int64)
             if self._injector.policy.duplicate_rate > 0:
-                valid = np.ones((sub.size, width), dtype=bool)
+                valid = np.ones(values.shape, dtype=bool)
                 self._injector.apply_duplicates(values, valid)
-            sub_remaining = remaining
+            reach = np.minimum(step, remaining)
         else:
             arrivals = mask.sum(axis=1).astype(np.int64)
             failed = eligible[arrivals == 0]
@@ -852,42 +656,13 @@ class RacingPool:
             valid = col[None, :] <= counts_got[:, None]
             self._injector.apply_duplicates(values, valid)
             values = np.where(valid, values, 0.0)
-            sub_remaining = remaining[got]
+            reach = np.minimum(counts_got, remaining[got])
 
-        reach = np.minimum(counts_got, sub_remaining)
-        n_mat = self.n[sub, None] + col[None, :]
-        s1_mat = self.s1[sub, None] + np.cumsum(values, axis=1)
-        s2_mat = self.s2[sub, None] + np.cumsum(np.square(values), axis=1)
-        if self._stein:
-            codes = self._stein_codes(sub, n_mat, s1_mat, s2_mat, reach)
-        else:
-            codes = self._tester.decision_codes(n_mat, s1_mat / n_mat, s2_mat)
-        codes = np.where(n_mat >= self.config.min_workload, codes, 0)
-        codes = np.where(col[None, :] > reach[:, None], 0, codes)
-
-        has_decision = codes != 0
-        first = np.where(has_decision.any(axis=1), has_decision.argmax(axis=1), width)
-        consumed = np.where(first < width, first + 1, reach).astype(np.int64)
-
-        rows = np.arange(sub.size)
-        last = consumed - 1  # reach >= 1 on every row with arrivals
-        budget_ties = self._commit_round(
-            sub,
-            values,
-            width,
-            first,
-            consumed,
-            codes[rows, np.minimum(first, width - 1)],
-            n_mat[rows, last],
-            s1_mat[rows, last],
-            s2_mat[rows, last],
-            resolved,
+        consumed_total, budget_ties = self._evaluate_round(
+            sub, values, reach, resolved
         )
-        consumed_total = int(consumed.sum())
         self.session.charge_many(consumed_total)
-        if budget_ties:
-            self._counter("crowd_budget_ties_total").add(budget_ties)
-        self._emit_round(sub.size, consumed_total, resolved, budget_ties)
+        self._close_round(sub.size, consumed_total, resolved, budget_ties)
         return resolved
 
     def run_to_completion(self, step: int | None = None) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ from ..config import ComparisonConfig
 from ..core.items import ItemSet
 from ..crowd.oracle import JudgmentOracle
 from ..crowd.session import CrowdSession
+from ..errors import ConfigError
 
 __all__ = ["Dataset"]
 
@@ -61,7 +62,15 @@ class Dataset:
 
         The cardinality sweeps of Figure 9 run queries over random subsets;
         the subset inherits the global ground truth restricted to it.
+        Asking for more items than the dataset holds raises
+        :class:`~repro.errors.ConfigError`; ``n`` equal to its size is
+        all items.
         """
-        if n is None or n >= len(self.items):
+        size = len(self.items)
+        if n is not None and n > size:
+            raise ConfigError(
+                f"n_items={n} exceeds the {size} items of dataset {self.name!r}"
+            )
+        if n is None or n == size:
             return self.items
         return self.items.subset(n, rng)

@@ -1,36 +1,17 @@
 """One front door for execution selection: :class:`ExecutionPolicy`.
 
-Three generations of knobs accumulated around "how should this work be
-executed":
-
-* ``ComparisonConfig.group_engine`` — how one parallel comparison *group*
-  advances (``"racing"`` lockstep kernel vs ``"sequential"`` per-pair
-  Python);
-* the ``engine=`` keyword on experiment entry points — how *independent
-  runs* are scheduled (``"pool"`` serial/process-pool vs ``"lattice"``
-  fused in-process racing), plus the ambient installers
-  :func:`repro.experiments.use_engine` / ``set_default_engine``;
-* the ``CROWD_TOPK_ENGINE`` environment variable — the CI-facing ambient
-  default behind both.
-
-``ExecutionPolicy`` collapses them into one declarative object with one
-documented resolution order.  For each field, the first hit wins:
+The policy says how one parallel comparison *group* advances:
+``"racing"`` (one vectorized lockstep kernel for the whole group) or
+``"sequential"`` (one comparison process per pair).  The first hit wins:
 
 1. an explicit value on the policy itself (``ExecutionPolicy(...)``);
-2. the legacy spelling at the call site (``engine=`` keyword,
-   ``config.group_engine``) — kept working, now defined as a thin alias
-   for a policy with that single field set;
-3. the ambient installation (:func:`~repro.experiments.use_engine`,
-   :func:`~repro.experiments.use_jobs`);
-4. the ``CROWD_TOPK_ENGINE`` environment variable (run engine only);
-5. the library defaults: ``group_engine="racing"``, ``run_engine="pool"``,
-   ``n_jobs=1``.
+2. the comparison config's ``group_engine`` (the legacy spelling, kept
+   working as a thin alias for a policy with that field set);
+3. the library default, ``"racing"``.
 
-The legacy spellings are *deprecated aliases* in documentation only — they
-emit no runtime warnings (CI legs and downstream scripts drive whole
-suites through them) and keep their exact semantics.  New code should
-construct an :class:`ExecutionPolicy` and pass it where accepted (e.g.
-``QuerySpec.execution``).
+How independent experiment runs are scheduled is not a policy field:
+the harness entry points take ``n_jobs`` directly (see
+:func:`repro.experiments.use_jobs`).
 """
 
 from __future__ import annotations
@@ -44,101 +25,42 @@ from .errors import ConfigError
 __all__ = ["ExecutionPolicy", "DEFAULT_EXECUTION", "execution_policy_from_dict"]
 
 GroupEngineName = Literal["racing", "sequential"]
-RunEngineName = Literal["pool", "lattice"]
+
+#: Fields an older policy document may still carry.  They were never
+#: read on any query path, so ``null`` is accepted (and dropped) for
+#: recovery of persisted specs; any other value is an error.
+_REMOVED_FIELDS = ("run_engine", "n_jobs")
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Declarative execution selection with a single resolution order.
 
-    Every field defaults to ``None`` — "no opinion" — so an empty policy
-    defers entirely to the legacy spellings, the ambient installers, the
-    environment, and finally the library defaults (see the module
-    docstring for the full order).
-
     Attributes
     ----------
     group_engine:
-        How a parallel comparison group advances: ``"racing"`` (one
-        vectorized lockstep kernel for the whole group) or
-        ``"sequential"`` (one comparison process per pair).  Resolved
-        against ``ComparisonConfig.group_engine`` by
-        :meth:`apply_to_config`.
-    run_engine:
-        How independent experiment runs are scheduled: ``"pool"``
-        (serial at one job, process pool above) or ``"lattice"`` (fused
-        in-process racing of all runs).
-    n_jobs:
-        Worker processes for the pool engine: ``1`` serial, ``0`` one
-        per CPU, ``None`` the ambient default installed by
-        :func:`repro.experiments.use_jobs`.
+        How a parallel comparison group advances: ``"racing"`` or
+        ``"sequential"``.  ``None`` (no opinion) defers to
+        ``ComparisonConfig.group_engine`` via :meth:`apply_to_config`.
     """
 
     group_engine: GroupEngineName | None = None
-    run_engine: RunEngineName | None = None
-    n_jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.group_engine not in (None, "racing", "sequential"):
             raise ConfigError(
                 f"unknown group_engine {self.group_engine!r}"
             )
-        if self.run_engine not in (None, "pool", "lattice"):
-            raise ConfigError(f"unknown run_engine {self.run_engine!r}")
-        if self.n_jobs is not None and (
-            not isinstance(self.n_jobs, int)
-            or isinstance(self.n_jobs, bool)
-            or self.n_jobs < 0
-        ):
-            raise ConfigError(
-                f"n_jobs must be a non-negative int or None, got {self.n_jobs!r}"
-            )
 
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
     def resolve_group_engine(
         self, config: ComparisonConfig | None = None
     ) -> GroupEngineName:
-        """The concrete group engine under the documented order.
-
-        An explicit policy field wins; otherwise the legacy spelling —
-        the config's ``group_engine`` (itself defaulting to
-        ``"racing"``) — decides.
-        """
+        """The concrete group engine under the documented order."""
         if self.group_engine is not None:
             return self.group_engine
         if config is not None:
             return config.group_engine
         return "racing"
-
-    def resolve_run_engine(self, engine: str | None = None) -> RunEngineName:
-        """The concrete run engine under the documented order.
-
-        ``engine`` is the legacy call-site keyword; it loses to an
-        explicit policy field and beats the ambient installation /
-        environment variable (step 3/4), which
-        :func:`repro.experiments.resolve_engine` implements.
-        """
-        from .experiments.parallel import resolve_engine  # deferred: cycle
-
-        if self.run_engine is not None:
-            return resolve_engine(self.run_engine)
-        return resolve_engine(engine)
-
-    def resolve_jobs(self, n_jobs: int | None = None) -> int:
-        """The concrete worker count under the documented order.
-
-        ``n_jobs`` is the legacy call-site keyword; explicit policy field
-        first, then the keyword, then the ambient default
-        (:func:`repro.experiments.use_jobs`), with ``0`` expanding to one
-        worker per CPU.
-        """
-        from .experiments.parallel import resolve_jobs  # deferred: cycle
-
-        if self.n_jobs is not None:
-            return resolve_jobs(self.n_jobs)
-        return resolve_jobs(n_jobs)
 
     def apply_to_config(self, config: ComparisonConfig) -> ComparisonConfig:
         """``config`` with this policy's group engine applied (if any)."""
@@ -147,16 +69,9 @@ class ExecutionPolicy:
             return config
         return config.with_(group_engine=engine)
 
-    # ------------------------------------------------------------------
-    # serialization (QuerySpec documents carry the policy)
-    # ------------------------------------------------------------------
     def to_document(self) -> dict:
         """A JSON-ready dict (inverse of :func:`execution_policy_from_dict`)."""
-        return {
-            "group_engine": self.group_engine,
-            "run_engine": self.run_engine,
-            "n_jobs": self.n_jobs,
-        }
+        return {"group_engine": self.group_engine}
 
     def with_(self, **changes: object) -> "ExecutionPolicy":
         """Return a copy with ``changes`` applied (validated)."""
@@ -164,12 +79,24 @@ class ExecutionPolicy:
 
 
 def execution_policy_from_dict(data: dict) -> ExecutionPolicy:
-    """Revive an :class:`ExecutionPolicy` from :meth:`ExecutionPolicy.to_document`."""
-    return ExecutionPolicy(
-        group_engine=data.get("group_engine"),
-        run_engine=data.get("run_engine"),
-        n_jobs=data.get("n_jobs"),
-    )
+    """Revive an :class:`ExecutionPolicy` from :meth:`ExecutionPolicy.to_document`.
+
+    Raises :class:`~repro.errors.ConfigError` on an unknown key, and on a
+    removed field (``run_engine``, ``n_jobs``) set to anything but ``null``.
+    """
+    payload = dict(data)
+    for name in _REMOVED_FIELDS:
+        if name in payload:
+            value = payload.pop(name)
+            if value is not None:
+                raise ConfigError(
+                    f"execution field {name!r} was removed; got {value!r} "
+                    "(only null is accepted)"
+                )
+    unknown = set(payload) - {"group_engine"}
+    if unknown:
+        raise ConfigError(f"unknown execution fields: {sorted(unknown)}")
+    return ExecutionPolicy(**payload)
 
 
 #: The empty policy: every decision defers down the resolution order.

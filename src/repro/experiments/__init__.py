@@ -21,12 +21,9 @@ from .params import (
 )
 from .parallel import (
     RunSpec,
-    resolve_engine,
     resolve_jobs,
     run_specs,
-    set_default_engine,
     set_default_jobs,
-    use_engine,
     use_jobs,
 )
 from .peopleage import run_peopleage
@@ -56,12 +53,9 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "SWEET_SPOTS",
-    "resolve_engine",
     "resolve_jobs",
     "run_specs",
-    "set_default_engine",
     "set_default_jobs",
-    "use_engine",
     "use_jobs",
     "run_accuracy",
     "run_appendix_d",

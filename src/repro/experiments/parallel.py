@@ -54,11 +54,6 @@ __all__ = [
     "get_default_jobs",
     "set_default_jobs",
     "use_jobs",
-    "resolve_engine",
-    "get_default_engine",
-    "set_default_engine",
-    "use_engine",
-    "ENGINE_ENV",
 ]
 
 logger = logging.getLogger(__name__)
@@ -66,20 +61,6 @@ logger = logging.getLogger(__name__)
 #: Ambient job count used when an entry point is called with
 #: ``n_jobs=None``.  ``1`` keeps every path serial unless opted in.
 _default_jobs: int = 1
-
-#: Environment knob for the ambient execution engine (CI uses it to run
-#: whole suites under the lattice without touching call sites).
-ENGINE_ENV = "CROWD_TOPK_ENGINE"
-
-#: Execution engines for an experiment's independent runs. ``pool``
-#: is the historical pair: serial at ``n_jobs=1``, process pool above.
-#: ``lattice`` replaces the *serial* slot with fused in-process racing
-#: (see :mod:`repro.crowd.lattice`).
-ENGINES = ("pool", "lattice")
-
-#: Ambient engine installed by :func:`use_engine`; ``None`` defers to the
-#: :data:`ENGINE_ENV` environment variable, then to ``"pool"``.
-_default_engine: str | None = None
 
 
 def get_default_jobs() -> int:
@@ -109,57 +90,6 @@ def _validate_jobs(n_jobs: int) -> int:
     if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 0:
         raise ConfigError(f"n_jobs must be a non-negative int, got {n_jobs!r}")
     return n_jobs
-
-
-def _validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
-
-
-def get_default_engine() -> str:
-    """The ambient engine used when callers pass ``engine=None``.
-
-    Resolution order: :func:`set_default_engine` / :func:`use_engine`
-    installs, then the :data:`ENGINE_ENV` environment variable, then
-    ``"pool"``.
-    """
-    if _default_engine is not None:
-        return _default_engine
-    env = os.environ.get(ENGINE_ENV, "").strip()
-    if env:
-        return _validate_engine(env)
-    return "pool"
-
-
-def set_default_engine(engine: str | None) -> str | None:
-    """Install a new ambient engine; returns the previous installation.
-
-    ``None`` uninstalls, deferring to the environment again.
-    """
-    global _default_engine
-    previous = _default_engine
-    _default_engine = None if engine is None else _validate_engine(engine)
-    return previous
-
-
-@contextmanager
-def use_engine(engine: str | None) -> Iterator[str]:
-    """Scope an ambient engine to a ``with`` block (restored after)."""
-    previous = set_default_engine(engine)
-    try:
-        yield get_default_engine()
-    finally:
-        set_default_engine(previous)
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an ``engine`` argument to a concrete engine name."""
-    if engine is None:
-        return get_default_engine()
-    return _validate_engine(engine)
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
@@ -246,50 +176,20 @@ def _pool_context():
 def run_specs(
     specs: list[RunSpec],
     n_jobs: int | None = None,
-    engine: str | None = None,
 ) -> list[MethodStats]:
-    """Execute every spec's runs, fanned out over the selected engine.
+    """Execute every spec's runs, serially or over a process pool.
 
     Returns one :class:`MethodStats` per spec, in order.  Worker telemetry
     is merged into the ambient registry in task order *before* returning,
     so a snapshot taken afterwards reconciles with the summed cost ledgers
     exactly like a serial run's would.
-
-    ``engine="lattice"`` races the runs through one in-process
-    :class:`~repro.crowd.lattice.RacingLattice` — per-run results and
-    telemetry totals stay bit-for-bit identical to the serial loop, only
-    faster.  An *ambient* lattice (installed via :func:`use_engine` or the
-    :data:`ENGINE_ENV` variable) replaces only the serial ``n_jobs == 1``
-    slot: callers that explicitly fan out over worker processes keep their
-    process pool.
     """
     if not specs:
         return []
     jobs = resolve_jobs(n_jobs)
     tasks = _build_tasks(specs)
-    resolved_engine = resolve_engine(engine)
-    use_lattice = resolved_engine == "lattice" and (engine is not None or jobs == 1)
 
-    if use_lattice:
-        from functools import partial
-
-        from ..crowd.lattice import LATTICE_MAX_LANES, run_lattice
-
-        # Warm the dataset cache from this thread: lanes then share the
-        # immutable datasets read-only instead of racing the loader.
-        for spec in specs:
-            load_dataset(spec.params.dataset, seed=spec.params.dataset_seed)
-        telemetry = get_registry()
-        telemetry.counter("experiment_lattice_batches_total").inc()
-        logger.info(
-            "lattice engine: %d tasks (%d specs), <=%d lanes per batch",
-            len(tasks), len(specs), LATTICE_MAX_LANES,
-        )
-        results = run_lattice(
-            [partial(_run_task_serial, task) for task in tasks],
-            name="experiment",
-        )
-    elif jobs == 1:
+    if jobs == 1:
         # Serial fallback: same work units, ambient registry, no merge.
         results = [_run_task_serial(task) for task in tasks]
     else:

@@ -184,27 +184,11 @@ def _validated_kwargs(
     return method_kwargs
 
 
-def _use_lattice(engine: str | None, n_jobs: int | None) -> bool:
-    """Whether this call should race its runs through the lattice.
-
-    An explicit ``engine="lattice"`` argument always wins; an *ambient*
-    lattice (``use_engine`` / ``CROWD_TOPK_ENGINE``) replaces only the
-    serial ``n_jobs == 1`` slot, so callers that explicitly fan out over
-    worker processes keep their process pool.
-    """
-    from .parallel import resolve_engine, resolve_jobs
-
-    if resolve_engine(engine) != "lattice":
-        return False
-    return engine is not None or resolve_jobs(n_jobs) == 1
-
-
 def run_method(
     method: str,
     params: ExperimentParams,
     *,
     n_jobs: int | None = None,
-    engine: str | None = None,
     **method_kwargs: object,
 ) -> MethodStats:
     """Run one registered algorithm over ``params.n_runs`` fresh runs.
@@ -213,21 +197,20 @@ def run_method(
     the budget-matched baselines, ``spr_config=`` overrides).  ``n_jobs``
     fans the runs out over a process pool (``1`` = serial, ``0`` = one
     worker per CPU, ``None`` = the ambient default — see
-    :func:`repro.experiments.parallel.use_jobs`); ``engine="lattice"``
-    races the runs through one fused in-process lattice instead.  Results
-    are bit-for-bit identical whichever engine executes them.
+    :func:`repro.experiments.parallel.use_jobs`).  Results are bit-for-bit
+    identical either way.
     """
     method_kwargs = _validated_kwargs(method, params, dict(method_kwargs))
     from .parallel import resolve_jobs, run_specs, RunSpec
 
-    if resolve_jobs(n_jobs) == 1 and not _use_lattice(engine, n_jobs):
+    if resolve_jobs(n_jobs) == 1:
         execute = _make_execute("algorithm", method, params, method_kwargs)
         return _execute_runs(params, execute, method)
     spec = RunSpec(
         kind="algorithm", method=method, params=params,
         method_kwargs=method_kwargs,
     )
-    return run_specs([spec], n_jobs=n_jobs, engine=engine)[0]
+    return run_specs([spec], n_jobs=n_jobs)[0]
 
 
 def run_methods(
@@ -235,22 +218,16 @@ def run_methods(
     params: ExperimentParams,
     *,
     n_jobs: int | None = None,
-    engine: str | None = None,
 ) -> dict[str, MethodStats]:
     """Run several methods on the same cell (independent seed streams).
 
     With ``n_jobs != 1`` every (method × run) work unit goes through one
-    shared process pool, so slow methods overlap with fast ones; under
-    ``engine="lattice"`` all (method × run) units race in one fused
-    lattice batch.
+    shared process pool, so slow methods overlap with fast ones.
     """
     from .parallel import resolve_jobs, run_specs, RunSpec
 
-    if resolve_jobs(n_jobs) == 1 and not _use_lattice(engine, n_jobs):
-        return {
-            method: run_method(method, params, engine=engine)
-            for method in methods
-        }
+    if resolve_jobs(n_jobs) == 1:
+        return {method: run_method(method, params) for method in methods}
     specs = [
         RunSpec(
             kind="algorithm", method=method, params=params,
@@ -258,7 +235,7 @@ def run_methods(
         )
         for method in methods
     ]
-    stats = run_specs(specs, n_jobs=n_jobs, engine=engine)
+    stats = run_specs(specs, n_jobs=n_jobs)
     return dict(zip(methods, stats))
 
 
@@ -266,13 +243,12 @@ def run_infimum(
     params: ExperimentParams,
     *,
     n_jobs: int | None = None,
-    engine: str | None = None,
 ) -> MethodStats:
     """Measure the Lemma-1 infimum on a parameter cell (same run regime)."""
     from .parallel import resolve_jobs, run_specs, RunSpec
 
-    if resolve_jobs(n_jobs) == 1 and not _use_lattice(engine, n_jobs):
+    if resolve_jobs(n_jobs) == 1:
         execute = _make_execute("infimum", "infimum", params, {})
         return _execute_runs(params, execute, "infimum")
     spec = RunSpec(kind="infimum", method="infimum", params=params, method_kwargs={})
-    return run_specs([spec], n_jobs=n_jobs, engine=engine)[0]
+    return run_specs([spec], n_jobs=n_jobs)[0]

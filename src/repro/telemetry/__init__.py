@@ -27,7 +27,6 @@ library emits.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -52,22 +51,14 @@ __all__ = [
     "read_jsonl",
     "set_registry",
     "use_registry",
-    "use_thread_registry",
 ]
 
 #: The process-wide default registry; never None.
 _registry: MetricsRegistry = MetricsRegistry()
 
-#: Per-thread override; lattice lanes get their own registry so that
-#: concurrently racing runs never interleave counters (see crowd/lattice.py).
-_tls = threading.local()
-
 
 def get_registry() -> MetricsRegistry:
-    """The currently installed registry (thread-local first, then global)."""
-    local = getattr(_tls, "registry", None)
-    if local is not None:
-        return local
+    """The currently installed registry."""
     return _registry
 
 
@@ -93,25 +84,3 @@ def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsReg
         yield registry
     finally:
         set_registry(previous)
-
-
-@contextmanager
-def use_thread_registry(
-    registry: MetricsRegistry | None = None,
-) -> Iterator[MetricsRegistry]:
-    """Scope a registry to the *current thread* for a ``with`` block.
-
-    Unlike :func:`use_registry` (which swaps the process-wide default and
-    is therefore racy under threads), this installs the registry as a
-    thread-local override that :func:`get_registry` resolves first.  The
-    racing lattice wraps each lane in one of these so concurrently racing
-    runs account their own counters; the lane registries are merged into
-    the ambient registry in deterministic order afterwards.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    previous = getattr(_tls, "registry", None)
-    _tls.registry = registry
-    try:
-        yield registry
-    finally:
-        _tls.registry = previous

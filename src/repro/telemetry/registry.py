@@ -80,8 +80,6 @@ METRIC_HELP: dict[str, str] = {
     "crowd_budget_ties_total": "Comparisons that exhausted the per-pair budget.",
     "crowd_groups_total": "Parallel comparison groups, by engine.",
     "crowd_pool_rounds_total": "Vectorized racing rounds executed.",
-    "crowd_lattice_rounds_total": "Fused multi-lane kernel passes executed.",
-    "crowd_lattice_lanes": "Lanes raced by the last lattice batch.",
     "crowd_faults_total": "Injected platform faults, by mode.",
     "crowd_retries_total": "Re-issued rounds after delivery failures.",
     "crowd_degraded_ties_total": "Comparisons degraded to TIE by the resilience policy.",
@@ -93,7 +91,6 @@ METRIC_HELP: dict[str, str] = {
     "spr_deferments_total": "Items deferred after tying with the reference.",
     "spr_recursions_total": "Recursive SPR invocations.",
     "experiment_runs_total": "Completed experiment runs per method.",
-    "experiment_lattice_batches_total": "run_specs calls raced on the lattice.",
     "crowd_comparison_workload": "Judgments consumed per comparison.",
     "span_seconds": "Wall seconds per completed span.",
     "span_cost": "Microtasks per completed span.",

@@ -110,7 +110,7 @@ class QueryBoard:
 
 
 #: Process-wide default board.  Publishers that outlive any single server
-#: (the racing lattice's lanes, the CLI's ``--serve`` query) meet here, so
+#: (the CLI's ``--serve`` query) meet here, so
 #: an observatory constructed over :func:`get_query_board` sees them all.
 _default_board = QueryBoard()
 
@@ -120,9 +120,7 @@ def get_query_board() -> QueryBoard:
 
     :class:`ObservatoryServer` still defaults to a private empty board —
     embedders that want the shared roster pass ``queries=get_query_board()``
-    (the CLI's ``--serve`` does).  The racing lattice registers each lane's
-    session here for the duration of a run, so a live ``/queries`` scrape
-    shows per-lane progress.
+    (the CLI's ``--serve`` does).
     """
     return _default_board
 

@@ -17,7 +17,7 @@ Two tiers:
 * tier-1: the first :data:`TIER1_SEEDS` seeds of every variant (fast,
   every PR);
 * statistical: all :data:`SEEDS` seeds per variant (the ≥200-seed
-  acceptance bar, mirroring ``test_lattice_parity.py``).
+  acceptance bar).
 """
 
 from __future__ import annotations

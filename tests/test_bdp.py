@@ -109,17 +109,17 @@ class TestDeterminism:
 
 
 class TestEngineParity:
-    def test_lattice_engine_is_bit_identical(self):
-        # Unlike the racing/sequential *group* engines, the lattice
-        # execution engine promises bit-for-bit identity with the serial
-        # path — BDP must inherit that through compare_many.
+    def test_process_pool_is_bit_identical(self):
+        # Unlike the racing/sequential *group* engines, the process pool
+        # promises bit-for-bit identity with the serial path — BDP must
+        # inherit that through its pre-spawned per-run streams.
         params = ExperimentParams(
             dataset="imdb", n_items=10, k=3, n_runs=2, budget=200,
             min_workload=5, batch_size=10, seed=3,
         )
-        serial = run_method("bdp", params)
-        lattice = run_method("bdp", params, engine="lattice")
-        for left, right in zip(serial.runs, lattice.runs):
+        serial = run_method("bdp", params, n_jobs=1)
+        pooled = run_method("bdp", params, n_jobs=2)
+        for left, right in zip(serial.runs, pooled.runs):
             assert left.cost == right.cost
             assert left.rounds == right.rounds
             assert left.ndcg == right.ndcg

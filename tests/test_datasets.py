@@ -13,7 +13,7 @@ from repro.datasets import (
     make_photo,
 )
 from repro.datasets.registry import DATASET_NAMES, clear_dataset_cache
-from repro.errors import DatasetError
+from repro.errors import ConfigError, DatasetError
 
 
 # Small generator settings so the whole file runs in seconds.
@@ -69,6 +69,29 @@ class TestCommonContract:
         sub = small_dataset.sample_items(5, rng)
         assert len(sub) == 5
         assert small_dataset.sample_items(None) is small_dataset.items
+        size = len(small_dataset)
+        assert small_dataset.sample_items(size) is small_dataset.items
+        with pytest.raises(ConfigError, match=str(size + 1)):
+            small_dataset.sample_items(size + 1)
+
+
+class TestHonestItemCount:
+    """Asking for more items than a dataset holds is a typed error, not a
+    silent clamp to the whole dataset (jester holds 100 items)."""
+
+    def test_run_query_raises(self):
+        from repro.service import QuerySpec, run_query
+
+        with pytest.raises(ConfigError, match="5000"):
+            run_query(QuerySpec(method="spr", dataset="jester", n_items=5000))
+
+    def test_cli_query_exits_with_an_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["query", "--dataset", "jester", "--n-items", "5000"]) == 2
+        err = capsys.readouterr().err
+        assert "n_items=5000" in err
+        assert "jester" in err
 
 
 class TestRegistry:

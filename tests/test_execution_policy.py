@@ -1,6 +1,8 @@
-"""ExecutionPolicy: one documented resolution order over three legacy knobs."""
+"""ExecutionPolicy: one group-engine field, one resolution order, typed errors."""
 
-import os
+import json
+import urllib.error
+import urllib.request
 import warnings
 
 import pytest
@@ -12,7 +14,14 @@ from repro.execution import (
     ExecutionPolicy,
     execution_policy_from_dict,
 )
-from repro.experiments.parallel import ENGINE_ENV, use_engine, use_jobs
+from repro.experiments.parallel import use_jobs
+from repro.service import QueryService, QuerySpec, run_query, spec_from_document
+from repro.telemetry import MetricsRegistry, ObservatoryServer
+
+#: A small, fast spec for the service-door tests.
+SPEC = QuerySpec(
+    method="spr", k=3, dataset="synthetic", n_items=12, seed=7, tenant="acme",
+)
 
 
 class TestGroupEngineResolution:
@@ -38,93 +47,99 @@ class TestGroupEngineResolution:
         assert rewritten.confidence == config.confidence
 
 
-class TestRunEngineResolution:
-    def test_library_default_is_pool(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert DEFAULT_EXECUTION.resolve_run_engine() == "pool"
-
-    def test_legacy_keyword_decides_when_policy_silent(self):
-        assert DEFAULT_EXECUTION.resolve_run_engine("lattice") == "lattice"
-
-    def test_explicit_policy_beats_the_keyword(self):
-        policy = ExecutionPolicy(run_engine="lattice")
-        assert policy.resolve_run_engine("pool") == "lattice"
-
-    def test_keyword_beats_the_ambient_installation(self):
-        with use_engine("lattice"):
-            assert DEFAULT_EXECUTION.resolve_run_engine("pool") == "pool"
-
-    def test_ambient_installation_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "pool")
-        with use_engine("lattice"):
-            assert DEFAULT_EXECUTION.resolve_run_engine() == "lattice"
-
-    def test_environment_decides_last(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "lattice")
-        assert DEFAULT_EXECUTION.resolve_run_engine() == "lattice"
-
-
-class TestJobsResolution:
-    def test_library_default_is_serial(self):
-        assert DEFAULT_EXECUTION.resolve_jobs() == 1
-
-    def test_explicit_policy_beats_the_keyword(self):
-        assert ExecutionPolicy(n_jobs=3).resolve_jobs(2) == 3
-
-    def test_keyword_beats_the_ambient_installation(self):
-        with use_jobs(4):
-            assert DEFAULT_EXECUTION.resolve_jobs(2) == 2
-
-    def test_ambient_installation_decides_when_both_silent(self):
-        with use_jobs(4):
-            assert DEFAULT_EXECUTION.resolve_jobs() == 4
-
-    def test_zero_expands_to_cpu_count(self):
-        expanded = ExecutionPolicy(n_jobs=0).resolve_jobs()
-        assert expanded >= 1
-        assert expanded == (os.cpu_count() or 1)
-
-
 class TestValidationAndSerialization:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"group_engine": "warp"},
-            {"run_engine": "thread"},
-            {"n_jobs": -1},
-            {"n_jobs": True},
-            {"n_jobs": 1.5},
+            {"group_engin": "sequential"},
+            {"run_engine": "pool"},
+            {"n_jobs": 8},
+            {"group_engine": "racing", "n_jobs": 0},
         ],
     )
     def test_bad_fields_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
-            ExecutionPolicy(**kwargs)
+            execution_policy_from_dict(kwargs)
 
     def test_document_round_trip(self):
-        policy = ExecutionPolicy(
-            group_engine="sequential", run_engine="lattice", n_jobs=2
-        )
+        policy = ExecutionPolicy(group_engine="sequential")
+        assert policy.to_document() == {"group_engine": "sequential"}
         assert execution_policy_from_dict(policy.to_document()) == policy
 
     def test_empty_document_is_the_default(self):
         assert execution_policy_from_dict({}) == DEFAULT_EXECUTION
 
     def test_with_validates(self):
-        assert DEFAULT_EXECUTION.with_(n_jobs=2).n_jobs == 2
+        assert DEFAULT_EXECUTION.with_(group_engine="sequential").group_engine == (
+            "sequential"
+        )
         with pytest.raises(ConfigError):
-            DEFAULT_EXECUTION.with_(run_engine="warp")
+            DEFAULT_EXECUTION.with_(group_engine="warp")
+
+
+class TestUnknownKeysThroughEveryDoor:
+    def test_spec_document_with_misspelled_key_raises(self):
+        document = {
+            "method": "spr",
+            "execution": {"group_engin": "sequential"},
+        }
+        with pytest.raises(ConfigError, match="group_engin"):
+            spec_from_document(document)
+
+    def test_spec_document_with_removed_field_raises(self):
+        document = {"method": "spr", "execution": {"n_jobs": 8}}
+        with pytest.raises(ConfigError, match="n_jobs"):
+            spec_from_document(document)
+
+    def test_http_submit_with_unknown_key_is_400(self):
+        document = SPEC.to_document()
+        document["execution"] = {"group_engin": "sequential"}
+        with QueryService(registry=MetricsRegistry(), max_workers=1) as service:
+            with ObservatoryServer(
+                registry=service.registry, service=service
+            ) as observatory:
+                request = urllib.request.Request(
+                    f"{observatory.url}/submit",
+                    data=json.dumps(document).encode(),
+                    method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request)
+                assert caught.value.code == 400
+                assert "group_engin" in caught.value.read().decode()
+            assert service.handles() == []
+
+    def test_parent_format_spec_document_still_recovers(self, tmp_path):
+        # Spec documents persisted before the removal carry the two
+        # dropped fields as nulls; recover() must still revive them.
+        document = {"id": "q0001", **SPEC.to_document()}
+        document["execution"] = {
+            "group_engine": None, "run_engine": None, "n_jobs": None,
+        }
+        (tmp_path / "q0001.spec.json").write_text(json.dumps(document))
+        expected = run_query(SPEC)
+        with QueryService(
+            registry=MetricsRegistry(), max_workers=1, state_dir=tmp_path
+        ) as service:
+            revived = service.recover()
+            assert [handle.id for handle in revived] == ["q0001"]
+            outcome = revived[0].result(timeout=120)
+        assert revived[0].spec == SPEC
+        assert outcome.topk == expected.topk
+        assert outcome.cost == expected.cost
+        assert outcome.rounds == expected.rounds
 
 
 class TestLegacySpellingsStayWarningFree:
-    def test_no_deprecation_warnings_from_legacy_knobs(self, monkeypatch):
-        # The legacy spellings are deprecated in documentation only: CI
-        # legs drive whole suites through them, so they must stay silent.
-        monkeypatch.setenv(ENGINE_ENV, "lattice")
+    def test_no_deprecation_warnings_from_legacy_knobs(self):
+        # The legacy spellings are deprecated in documentation only:
+        # downstream scripts drive whole suites through them, so they
+        # must stay silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = ComparisonConfig(group_engine="sequential")
             DEFAULT_EXECUTION.apply_to_config(config)
-            DEFAULT_EXECUTION.resolve_run_engine("pool")
-            with use_engine("pool"), use_jobs(2):
-                DEFAULT_EXECUTION.resolve_run_engine()
-                DEFAULT_EXECUTION.resolve_jobs()
+            with use_jobs(2):
+                DEFAULT_EXECUTION.resolve_group_engine(config)

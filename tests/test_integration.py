@@ -1,6 +1,8 @@
 """End-to-end integration: full pipeline over every dataset + invariants
 tying algorithms, sessions, caches and metrics together."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.algorithms import (
     spr_adapter,
     tournament_topk,
 )
+from repro.experiments import ExperimentParams, run_methods
 
 FAST = ComparisonConfig(confidence=0.95, budget=300, min_workload=10, batch_size=10)
 
@@ -114,3 +117,19 @@ def test_public_api_quickstart_snippet():
     result = spr_topk(session, dataset.items.ids.tolist(), k=10)
     assert len(result.topk) == 10
     assert 0.0 <= ndcg_at_k(dataset.items, result.topk, 10) <= 1.0
+
+
+def test_representative_flows_are_warning_clean():
+    # Nothing in the library's own flows may route through deprecated
+    # entry points: DeprecationWarning is promoted to an error.
+    dataset = load_dataset("jester", seed=2, **DATASET_SETTINGS["jester"])
+    ids = dataset.items.ids.tolist()[:16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        session = dataset.session(FAST, seed=11)
+        session.compare_many([(ids[1], ids[0]), (ids[3], ids[2])])
+        spr_topk(session, ids, 4)
+        run_methods(
+            ["spr"],
+            ExperimentParams(dataset="jester", n_items=8, k=2, n_runs=2, seed=0),
+        )

@@ -46,17 +46,14 @@ def deterministic_aggregates(stats):
 def comparable_counters(registry):
     """All counters except the execution engines' own bookkeeping.
 
-    Which engine ran (pool workers, fused lattice lanes, plain serial)
-    is allowed to differ between the legs under comparison — e.g. when
-    ``CROWD_TOPK_ENGINE=lattice`` fills the serial slot — so the
-    engines' own instrumentation is excluded from parity.
+    Which engine ran (pool workers or plain serial) is allowed to
+    differ between the legs under comparison, so the process pool's own
+    instrumentation is excluded from parity.
     """
-    engine_prefixes = ("experiment_parallel", "experiment_lattice",
-                       "crowd_lattice")
     return {
         (c.name, c.labels): c.value
         for c in registry._counters.values()
-        if not c.name.startswith(engine_prefixes)
+        if not c.name.startswith("experiment_parallel")
     }
 
 

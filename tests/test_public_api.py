@@ -56,7 +56,6 @@ PUBLIC_API = [
     "QueryService",
     "QuerySpec",
     "QueryTrace",
-    "RacingLattice",
     "RacingPool",
     "RecordDatabaseOracle",
     "ResiliencePolicy",
@@ -99,7 +98,6 @@ PUBLIC_API = [
     "run_golden_suite",
     "run_guarantee_suite",
     "run_invariant_suite",
-    "run_lattice",
     "run_query",
     "save_cache",
     "save_checkpoint",
